@@ -10,17 +10,12 @@
 package m3
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
-	"time"
 
-	"m3/internal/core"
 	"m3/internal/exp"
 	"m3/internal/flowsim"
 	"m3/internal/model"
@@ -28,7 +23,6 @@ import (
 	"m3/internal/parsimon"
 	"m3/internal/rng"
 	"m3/internal/routing"
-	"m3/internal/serve"
 	"m3/internal/topo"
 	"m3/internal/workload"
 )
@@ -401,36 +395,6 @@ func BenchmarkModelInferenceBatchInt8(b *testing.B) {
 	b.ReportMetric(b.Elapsed().Seconds()/float64(b.N*len(samples))*1e9, "ns/sample")
 }
 
-// BenchmarkEstimatePipeline compares the two ML estimation pipelines end to
-// end: staged runs featurize and predict as barrier-separated pool stages;
-// streamed launches each predict micro-batch the moment featurize fills it,
-// overlapping flowSim with inference. Outputs are bit-identical (see
-// TestStreamedMatchesStagedBitIdentical); only the schedule differs.
-func BenchmarkEstimatePipeline(b *testing.B) {
-	net, _ := benchNets(b)
-	ft, flows := benchWorkload(b, 8000)
-	cfg := packetsim.DefaultConfig()
-	ctx := context.Background()
-	for _, mode := range []struct {
-		name   string
-		staged bool
-	}{{"staged", true}, {"streamed", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			est := core.NewEstimator(net, core.WithNumPaths(200),
-				core.WithStagedPipeline(mode.staged))
-			var overlap float64
-			for i := 0; i < b.N; i++ {
-				res, err := est.Estimate(ctx, ft.Topology, flows, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				overlap += res.OverlapRatio()
-			}
-			b.ReportMetric(overlap/float64(b.N), "overlap-ratio")
-		})
-	}
-}
-
 // BenchmarkModelInferenceBatchSharded times one 32-sample PredictBatch per
 // iteration across backend x GEMM parallelism. par=1 is the serial baseline;
 // par=4 shards each heavy layer's output rows across 4 goroutines with
@@ -463,29 +427,6 @@ func BenchmarkModelInferenceBatchSharded(b *testing.B) {
 	}
 }
 
-func BenchmarkEstimateEndToEnd(b *testing.B) {
-	net, _ := benchNets(b)
-	ft, flows := benchWorkload(b, 8000)
-	est := core.NewEstimator(net, core.WithNumPaths(200))
-	cfg := packetsim.DefaultConfig()
-	ctx := context.Background()
-	var predict, pathsim time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := est.Estimate(ctx, ft.Topology, flows, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		predict += res.Stages.Predict
-		pathsim += res.Stages.PathSim
-	}
-	// Predict and PathSim are summed across workers (CPU time), attributing
-	// the estimate's cost to the ML inference vs flowSim stages.
-	b.ReportMetric(float64(predict.Nanoseconds())/float64(b.N), "predict-ns/op")
-	b.ReportMetric(float64(pathsim.Nanoseconds())/float64(b.N), "pathsim-ns/op")
-	b.ReportMetric(100*float64(predict)/float64(predict+pathsim), "predict-%")
-}
-
 func BenchmarkAblationPaths(b *testing.B) {
 	s := benchScale()
 	net, _ := benchNets(b)
@@ -506,56 +447,6 @@ func BenchmarkAblationKnockout(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkServeEstimate measures the serving layer's estimate latency
-// through the full HTTP handler, cold (every iteration a fresh cache key)
-// versus warm (every iteration the same key, served from the LRU).
-func BenchmarkServeEstimate(b *testing.B) {
-	net, _ := benchNets(b)
-	srv, err := serve.New(serve.Options{Net: net, CacheSize: 1 << 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-
-	post := func(path string, body any) *httptest.ResponseRecorder {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(raw)))
-		return rec
-	}
-	rec := post("/v1/workloads", map[string]any{
-		"name": "bench",
-		"spec": map[string]any{"num_flows": 4000, "max_load": 0.5, "burstiness": 1.5, "seed": 9},
-	})
-	if rec.Code != 201 {
-		b.Fatalf("workload upload: %d %s", rec.Code, rec.Body.String())
-	}
-	estimate := func(seed uint64) {
-		rec := post("/v1/estimate", map[string]any{
-			"workload": "bench", "num_paths": 100, "seed": seed,
-		})
-		if rec.Code != 200 {
-			b.Fatalf("estimate: %d %s", rec.Code, rec.Body.String())
-		}
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			estimate(uint64(i) + 1e6) // unique key every iteration
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		estimate(1) // prime
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			estimate(1)
-		}
-	})
 }
 
 // BenchmarkPacketsim is the ground-truth engine benchmark: one large

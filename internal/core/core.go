@@ -84,7 +84,6 @@ type Estimator struct {
 	pool       *Pool
 	decomp     *pathsim.Decomposition
 	fallback   bool
-	staged     bool
 	predictPar int
 }
 
@@ -136,16 +135,6 @@ func WithPredictor(p model.Predictor) Option {
 	}
 }
 
-// WithStagedPipeline forces the ML backend's original barrier-separated
-// two-stage execution: featurize every sampled path, then predict in
-// micro-batches. The default is the streaming pipeline, which launches each
-// micro-batch the moment it fills so flowSim and inference overlap. The two
-// produce bit-identical estimates — PredictBatch output per sample is
-// independent of batch composition — so this knob exists for the parity
-// gate in scripts/check.sh and for staged-vs-streamed benchmarking, not for
-// correctness.
-func WithStagedPipeline(on bool) Option { return func(e *Estimator) { e.staged = on } }
-
 // WithPredictParallelism bounds how many worker goroutines one PredictBatch
 // call may shard its GEMM kernels across (<= 1 or 0 means serial). Applied
 // to the estimator's predictor at construction when the backend supports
@@ -190,13 +179,14 @@ func NewEstimator(p model.Predictor, opts ...Option) *Estimator {
 
 // StageTimings breaks an estimation's cost down by pipeline stage.
 // Decompose, Sample, and Aggregate are wall-clock; PathSim and Predict are
-// summed across workers (CPU time spent in the per-path backends and in ML
-// inference), feeding the serving layer's /metrics endpoint. Because the
+// summed across workers (time spent building each path's scenario and
+// running its backend, and in ML inference), feeding the serving layer's
+// /metrics endpoint. Because the
 // streaming pipeline overlaps the two stages, the summed PathSim + Predict
 // can exceed the shard's wall clock — PathSimWall and PredictWall carry the
 // per-stage wall-clock extents (first task start to last task end), and
 // Overlap is the wall-clock span during which both stages were running at
-// once (zero under the staged pipeline).
+// once.
 type StageTimings struct {
 	Decompose time.Duration
 	Sample    time.Duration
@@ -232,8 +222,8 @@ type Estimate struct {
 // OverlapRatio reports how much of the shorter ML stage's wall clock was
 // hidden under the longer one: Overlap / min(PathSimWall, PredictWall),
 // in [0, 1]. 1 means the predict stage ran entirely inside the featurize
-// window (or vice versa); 0 means the stages serialized — the staged
-// pipeline, a model-free method, or a single-worker pool all report 0.
+// window (or vice versa); 0 means the stages serialized — a model-free
+// method or a single-worker pool reports 0.
 func (e *Estimate) OverlapRatio() float64 {
 	shorter := min(e.Stages.PathSimWall, e.Stages.PredictWall)
 	if shorter <= 0 || e.Stages.Overlap <= 0 {
@@ -320,8 +310,8 @@ type ShardResult struct {
 	PredictNs int64
 	// PathSimWallNs and PredictWallNs are the wall-clock extents of the two
 	// ML stages, and OverlapNs the span both ran concurrently (zero for
-	// model-free methods and the staged pipeline). Old peers that predate
-	// these fields simply report zero.
+	// model-free methods). Old peers that predate these fields simply
+	// report zero.
 	PathSimWallNs int64
 	PredictWallNs int64
 	OverlapNs     int64
@@ -372,11 +362,7 @@ func (e *Estimator) RunShard(ctx context.Context, d *pathsim.Decomposition,
 	var walls stageWalls
 	var err error
 	if method == MethodML {
-		if e.staged {
-			walls, err = e.estimateMLStaged(ctx, pool, d, distinct, mult, cfg, sr.Outs, &pathSimNs, &predictNs, &degraded)
-		} else {
-			walls, err = e.estimateMLStreamed(ctx, pool, d, distinct, mult, cfg, sr.Outs, &pathSimNs, &predictNs, &degraded)
-		}
+		walls, err = e.estimateMLStreamed(ctx, pool, d, distinct, mult, cfg, sr.Outs, &pathSimNs, &predictNs, &degraded)
 	} else {
 		wallStart := time.Now()
 		err = pool.Run(ctx, len(distinct), func(ctx context.Context, i int) error {
@@ -474,10 +460,11 @@ type stageWalls struct {
 	overlap time.Duration
 }
 
-// mlRun is the per-call state shared by the ML pipeline variants: the
-// featurized samples, the fallback retention slabs, and the batch/predict
-// plumbing that is identical whether batches form by completion order
-// (streamed) or by contiguous index ranges (staged).
+// mlRun is the per-call state of the ML pipeline: the featurized samples,
+// the fallback retention slabs, and the batch/predict plumbing, which does
+// not depend on how batches form (the streamed pipeline fills them in
+// completion order, the test-only staged reference by contiguous index
+// ranges).
 type mlRun struct {
 	e        *Estimator
 	d        *pathsim.Decomposition
@@ -519,11 +506,11 @@ func (e *Estimator) newMLRun(d *pathsim.Decomposition, distinct, mult []int,
 func (r *mlRun) featurize(ctx context.Context, i int) error {
 	faultinject.At("core.path", r.distinct[i])
 	p := &r.d.Paths[r.distinct[i]]
+	simStart := time.Now() // Scenario (building the parking lot) is part of the stage
 	sc, err := r.d.Scenario(p)
 	if err != nil {
 		return fmt.Errorf("core: path %d: %w", r.distinct[i], err)
 	}
-	simStart := time.Now()
 	fs, err := sc.RunFlowSimContext(ctx)
 	r.pathSimNs.Add(int64(time.Since(simStart)))
 	if err != nil {
@@ -607,7 +594,8 @@ var (
 // estimates interleave exactly as before. Cancellation is shared both ways:
 // a predict failure cancels in-flight featurize work (the featurize Run
 // executes under the group's context) and a featurize failure cancels
-// pending predicts. Estimates are bit-identical to estimateMLStaged.
+// pending predicts. Estimates are bit-identical to the barrier-separated
+// reference schedule (TestStreamedMatchesStagedBitIdentical).
 func (e *Estimator) estimateMLStreamed(ctx context.Context, pool *Pool,
 	d *pathsim.Decomposition, distinct, mult []int, cfg packetsim.Config,
 	outs []agg.PathOutput, pathSimNs, predictNs, degraded *atomic.Int64) (stageWalls, error) {
@@ -698,52 +686,6 @@ func (e *Estimator) estimateMLStreamed(ctx context.Context, pool *Pool,
 	return walls, err
 }
 
-// estimateMLStaged is the original barrier-separated pipeline: featurize
-// every sampled path, then flush contiguous micro-batches through
-// PredictBatch, both as full pool.Run stages. Kept selectable (see
-// WithStagedPipeline) as the parity baseline for the streamed pipeline and
-// for staged-vs-streamed benchmarking.
-func (e *Estimator) estimateMLStaged(ctx context.Context, pool *Pool,
-	d *pathsim.Decomposition, distinct, mult []int, cfg packetsim.Config,
-	outs []agg.PathOutput, pathSimNs, predictNs, degraded *atomic.Int64) (stageWalls, error) {
-
-	r := e.newMLRun(d, distinct, mult, cfg, outs, pathSimNs, predictNs, degraded)
-	var walls stageWalls
-	featStart := time.Now()
-	err := pool.Run(ctx, len(distinct), func(ctx context.Context, i int) error {
-		var err error
-		pprof.Do(ctx, featurizeLabels, func(ctx context.Context) {
-			err = r.featurize(ctx, i)
-		})
-		return err
-	})
-	walls.pathSim = time.Since(featStart)
-	if err != nil {
-		return walls, err
-	}
-	bs := e.batchSize
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
-	numBatches := (len(distinct) + bs - 1) / bs
-	predStart := time.Now()
-	err = pool.Run(ctx, numBatches, func(ctx context.Context, bi int) error {
-		lo := bi * bs
-		hi := min(lo+bs, len(distinct))
-		idx := make([]int, hi-lo)
-		for k := range idx {
-			idx[k] = lo + k
-		}
-		var perr error
-		pprof.Do(ctx, predictLabels, func(ctx context.Context) {
-			perr = r.predict(ctx, idx)
-		})
-		return perr
-	})
-	walls.predict = time.Since(predStart)
-	return walls, err
-}
-
 // finiteSlice reports whether every value is a usable slowdown — Predict
 // clamps below-1 outputs but NaN and Inf pass through a broken model
 // untouched, so they are the degradation signal.
@@ -762,11 +704,11 @@ func (e *Estimator) estimatePath(ctx context.Context, d *pathsim.Decomposition,
 	p *pathsim.Path, mult int, cfg packetsim.Config, method Method,
 	pathSimNs *atomic.Int64) (agg.PathOutput, error) {
 
+	simStart := time.Now()
 	sc, err := d.Scenario(p)
 	if err != nil {
 		return agg.PathOutput{}, err
 	}
-	simStart := time.Now()
 	switch method {
 	case MethodNS3Path:
 		fg, err := sc.RunPacketContext(ctx, cfg)

@@ -192,3 +192,25 @@ func TestMethodString(t *testing.T) {
 		t.Error("method names wrong")
 	}
 }
+
+// TestStageTimingsClose pins StageTimings to the wall clock: with one worker
+// nothing overlaps, so the five stages must account for at least 80% of
+// Elapsed. It fails if a stage clock skips a layer (PathSim once started
+// after pathsim.Scenario, the largest one).
+func TestStageTimingsClose(t *testing.T) {
+	net := tinyTrainedNet(t)
+	ft, flows := testWorkload(t, 12000, 5)
+	for _, m := range []Method{MethodML, MethodFlowSim} {
+		est := NewEstimator(net, WithNumPaths(60), WithSeed(3), WithMethod(m), WithWorkers(1))
+		res, err := est.Estimate(context.Background(), ft.Topology, flows, packetsim.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stages
+		sum := st.Decompose + st.Sample + st.PathSim + st.Predict + st.Aggregate
+		if float64(sum) < 0.8*float64(res.Elapsed) {
+			t.Errorf("%v: stages sum to %v of %v elapsed (%.0f%%), want >= 80%%: %+v",
+				m, sum, res.Elapsed, 100*float64(sum)/float64(res.Elapsed), st)
+		}
+	}
+}

@@ -9,9 +9,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"m3/internal/agg"
 	"m3/internal/faultinject"
 	"m3/internal/model"
 	"m3/internal/packetsim"
+	"m3/internal/pathsim"
 	"m3/internal/pool"
 )
 
@@ -36,10 +38,37 @@ func (f *failingPredictor) Fingerprint() uint64 { return f.inner.Fingerprint() }
 func (f *failingPredictor) SelfCheck() error    { return f.inner.SelfCheck() }
 func (f *failingPredictor) Kind() string        { return f.inner.Kind() }
 
+// estimateMLStaged is the reference schedule the streamed pipeline is
+// checked against: featurize every sampled path, then flush contiguous
+// micro-batches through PredictBatch, as two full pool.Run stages with a
+// barrier between them. It shares mlRun's featurize and predict with
+// production and differs only in how batches form.
+func (e *Estimator) estimateMLStaged(ctx context.Context, pool *Pool,
+	d *pathsim.Decomposition, distinct, mult []int, cfg packetsim.Config) ([]agg.PathOutput, error) {
+
+	outs := make([]agg.PathOutput, len(distinct))
+	var pathSimNs, predictNs, degraded atomic.Int64
+	r := e.newMLRun(d, distinct, mult, cfg, outs, &pathSimNs, &predictNs, &degraded)
+	if err := pool.Run(ctx, len(distinct), r.featurize); err != nil {
+		return nil, err
+	}
+	bs := e.batchSize
+	numBatches := (len(distinct) + bs - 1) / bs
+	err := pool.Run(ctx, numBatches, func(ctx context.Context, bi int) error {
+		lo := bi * bs
+		idx := make([]int, min(lo+bs, len(distinct))-lo)
+		for k := range idx {
+			idx[k] = lo + k
+		}
+		return r.predict(ctx, idx)
+	})
+	return outs, err
+}
+
 // TestStreamedMatchesStagedBitIdentical is the pipelined-parity property
 // test (run with -count=2 under -race by scripts/check.sh): for both
 // backends, across seeds and micro-batch sizes, the streaming pipeline must
-// reproduce the staged pipeline's per-path outputs bit for bit — batch
+// reproduce the staged reference's per-path outputs bit for bit — batch
 // composition by completion order is invisible because PredictBatch output
 // per sample is independent of its batchmates.
 func TestStreamedMatchesStagedBitIdentical(t *testing.T) {
@@ -56,25 +85,26 @@ func TestStreamedMatchesStagedBitIdentical(t *testing.T) {
 		for _, bs := range []int{1, 5, DefaultBatchSize} {
 			for seed := uint64(1); seed <= 2; seed++ {
 				name := fmt.Sprintf("%s/bs=%d/seed=%d", backend.Kind(), bs, seed)
-				run := func(staged bool) *ShardResult {
-					est := NewEstimator(backend, WithNumPaths(50), WithSeed(seed),
-						WithBatchSize(bs), WithPool(p), WithStagedPipeline(staged))
-					plan, err := est.Plan(ft.Topology, flows)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sr, err := est.RunShard(context.Background(), plan.D, plan.Distinct, plan.Mult, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return sr
+				est := NewEstimator(backend, WithNumPaths(50), WithSeed(seed),
+					WithBatchSize(bs), WithPool(p))
+				plan, err := est.Plan(ft.Topology, flows)
+				if err != nil {
+					t.Fatal(err)
 				}
-				want, got := run(true), run(false)
-				if len(want.Outs) != len(got.Outs) {
-					t.Fatalf("%s: %d vs %d outputs", name, len(want.Outs), len(got.Outs))
+				sr, err := est.RunShard(context.Background(), plan.D, plan.Distinct, plan.Mult, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range want.Outs {
-					w, g := want.Outs[i], got.Outs[i]
+				want, err := est.estimateMLStaged(context.Background(), p, plan.D, plan.Distinct, plan.Mult, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := sr.Outs
+				if len(want) != len(got) {
+					t.Fatalf("%s: %d vs %d outputs", name, len(want), len(got))
+				}
+				for i := range want {
+					w, g := want[i], got[i]
 					if w.Mult != g.Mult || fmt.Sprint(w.Counts) != fmt.Sprint(g.Counts) {
 						t.Fatalf("%s: path %d skeleton differs", name, i)
 					}
@@ -155,7 +185,7 @@ func TestStreamedPredictErrorCancelsFeaturize(t *testing.T) {
 // TestStreamedPredictPanicFailsRun: a panic in a streamed predict task is a
 // bug, not a degradation — even with fallback enabled it must surface as a
 // typed *pool.PanicError (and leave the estimator reusable), exactly like
-// the staged pipeline always did.
+// any other pool task.
 func TestStreamedPredictPanicFailsRun(t *testing.T) {
 	t.Cleanup(faultinject.Clear)
 	net := tinyTrainedNet(t)
@@ -191,33 +221,24 @@ func TestStreamedPredictPanicFailsRun(t *testing.T) {
 
 // TestStreamedWallTimings: a successful streamed ML estimate must report
 // wall-clock extents for both stages, an overlap no larger than the shorter
-// stage's wall, and an OverlapRatio in [0, 1]; the staged pipeline must
-// report zero overlap.
+// stage's wall, and an OverlapRatio in [0, 1].
 func TestStreamedWallTimings(t *testing.T) {
 	net := tinyTrainedNet(t)
 	ft, flows := testWorkload(t, 900, 7)
 	cfg := packetsim.DefaultConfig()
-	for _, staged := range []bool{false, true} {
-		est := NewEstimator(net, WithNumPaths(40), WithSeed(2), WithBatchSize(4),
-			WithStagedPipeline(staged))
-		res, err := est.Estimate(context.Background(), ft.Topology, flows, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := res.Stages
-		if st.PathSimWall <= 0 || st.PredictWall <= 0 {
-			t.Errorf("staged=%v: walls PathSim=%v Predict=%v, want both > 0",
-				staged, st.PathSimWall, st.PredictWall)
-		}
-		if st.Overlap < 0 || st.Overlap > min(st.PathSimWall, st.PredictWall) {
-			t.Errorf("staged=%v: overlap %v out of range (walls %v/%v)",
-				staged, st.Overlap, st.PathSimWall, st.PredictWall)
-		}
-		if r := res.OverlapRatio(); r < 0 || r > 1 {
-			t.Errorf("staged=%v: OverlapRatio = %v, want [0,1]", staged, r)
-		}
-		if staged && st.Overlap != 0 {
-			t.Errorf("staged pipeline reported overlap %v, want 0", st.Overlap)
-		}
+	est := NewEstimator(net, WithNumPaths(40), WithSeed(2), WithBatchSize(4))
+	res, err := est.Estimate(context.Background(), ft.Topology, flows, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stages
+	if st.PathSimWall <= 0 || st.PredictWall <= 0 {
+		t.Errorf("walls PathSim=%v Predict=%v, want both > 0", st.PathSimWall, st.PredictWall)
+	}
+	if st.Overlap < 0 || st.Overlap > min(st.PathSimWall, st.PredictWall) {
+		t.Errorf("overlap %v out of range (walls %v/%v)", st.Overlap, st.PathSimWall, st.PredictWall)
+	}
+	if r := res.OverlapRatio(); r < 0 || r > 1 {
+		t.Errorf("OverlapRatio = %v, want [0,1]", r)
 	}
 }

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
@@ -19,7 +18,7 @@ import (
 //
 //	[4]byte  magic "m3cp"
 //	uint32   format version (little-endian)
-//	byte     backend kind (v3+: 0 = net, 1 = net-int8)
+//	byte     backend kind (0 = net, 1 = net-int8)
 //	uint32   CRC-32C (Castagnoli) of the payload
 //	uint64   payload length in bytes
 //	[]byte   gob-encoded checkpoint struct
@@ -28,15 +27,14 @@ import (
 // bytes; the version gates future format changes; the explicit length
 // detects truncation; the kind byte tells the loader which Predictor to
 // build (the payload is always float weights — quantized backends are
-// re-derived on load, so one payload format serves every kind). Version 2
-// files (no kind byte, implicitly kind net) and files written before the
-// header existed (bare gob) are still readable — Load sniffs the magic and
-// version and falls back.
+// re-derived on load, so one payload format serves every kind). This is the
+// only format decoded: a stream without the magic or with any other version
+// is rejected before the gob decoder runs, so no untrusted byte bypasses
+// the CRC and the length bound.
 const (
 	ckptMagic   = "m3cp"
 	ckptVersion = 3
-	// ckptVersionV2 is the pre-backend-kind header layout.
-	ckptVersionV2 = 2
+	ckptHeadLen = 21
 	// ckptMaxPayload bounds the decoded payload so a corrupt length field
 	// cannot drive a multi-gigabyte allocation.
 	ckptMaxPayload = 1 << 30
@@ -74,10 +72,10 @@ func ckptKindByte(kind string) (byte, bool) {
 
 var ckptCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// CorruptError reports a checkpoint that failed an integrity check: bad CRC,
-// truncated payload, absurd length, or non-finite weights. Callers (the
-// serving layer's reload endpoint) use it to distinguish a damaged artifact
-// (422) from an operational error.
+// CorruptError reports a checkpoint that failed an integrity check: bad
+// magic, bad CRC, truncated payload, absurd length, or non-finite weights.
+// Callers (the serving layer's reload endpoint) use it to distinguish a
+// damaged artifact (422) from an operational error.
 type CorruptError struct{ Reason string }
 
 // Error implements the error interface.
@@ -112,7 +110,7 @@ func saveCheckpoint(w io.Writer, kind byte, n *Net) error {
 	if err := gob.NewEncoder(&payload).Encode(&ck); err != nil {
 		return fmt.Errorf("model: encoding checkpoint: %w", err)
 	}
-	var head [21]byte
+	var head [ckptHeadLen]byte
 	copy(head[:4], ckptMagic)
 	binary.LittleEndian.PutUint32(head[4:8], ckptVersion)
 	head[8] = kind
@@ -145,53 +143,30 @@ func Load(r io.Reader) (*Net, error) {
 // reaches the model, then builds the Predictor the kind byte names (the
 // payload is always float weights; derived backends such as net-int8 are
 // rebuilt from them). Malformed or corrupt input of any kind returns an
-// error (typically *CorruptError) — never a panic. Version 2 and legacy
-// headerless checkpoints (bare gob) remain loadable as kind net.
+// error (typically *CorruptError) — never a panic.
 func LoadPredictor(r io.Reader) (Predictor, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil || string(head) != ckptMagic {
-		// Legacy format: the stream is the gob payload itself.
-		n, err := decodePayload(br)
-		if err != nil {
-			return nil, err
-		}
-		return n, nil
+	var head [ckptHeadLen]byte
+	n, err := io.ReadFull(r, head[:])
+	if string(head[:min(n, 4)]) != ckptMagic {
+		return nil, &CorruptError{Reason: "not an m3 checkpoint (bad magic)"}
 	}
-	var verBuf [8]byte
-	if _, err := io.ReadFull(br, verBuf[:]); err != nil {
+	if err != nil {
 		return nil, &CorruptError{Reason: "truncated header"}
 	}
-	version := binary.LittleEndian.Uint32(verBuf[4:8])
-	kind := ckptKindNet
-	var rest []byte
-	switch version {
-	case ckptVersionV2:
-		var tail [12]byte // crc u32 | len u64
-		if _, err := io.ReadFull(br, tail[:]); err != nil {
-			return nil, &CorruptError{Reason: "truncated header"}
-		}
-		rest = tail[:]
-	case ckptVersion:
-		var tail [13]byte // kind byte | crc u32 | len u64
-		if _, err := io.ReadFull(br, tail[:]); err != nil {
-			return nil, &CorruptError{Reason: "truncated header"}
-		}
-		kind = tail[0]
-		rest = tail[1:]
-	default:
+	if version := binary.LittleEndian.Uint32(head[4:8]); version != ckptVersion {
 		return nil, fmt.Errorf("model: unsupported checkpoint format version %d (want %d)", version, ckptVersion)
 	}
+	kind := head[8]
 	kindName, ok := ckptKindName(kind)
 	if !ok {
 		return nil, fmt.Errorf("model: unsupported checkpoint backend kind byte %d", kind)
 	}
-	wantCRC := binary.LittleEndian.Uint32(rest[:4])
-	length := binary.LittleEndian.Uint64(rest[4:12])
+	wantCRC := binary.LittleEndian.Uint32(head[9:13])
+	length := binary.LittleEndian.Uint64(head[13:21])
 	if length > ckptMaxPayload {
 		return nil, &CorruptError{Reason: fmt.Sprintf("payload length %d exceeds limit %d", length, int64(ckptMaxPayload))}
 	}
-	payload, err := io.ReadAll(io.LimitReader(br, int64(length)))
+	payload, err := io.ReadAll(io.LimitReader(r, int64(length)))
 	if err != nil {
 		return nil, fmt.Errorf("model: reading checkpoint payload: %w", err)
 	}
@@ -202,14 +177,14 @@ func LoadPredictor(r io.Reader) (Predictor, error) {
 	if got := crc32.Checksum(payload, ckptCRCTable); got != wantCRC {
 		return nil, &CorruptError{Reason: fmt.Sprintf("CRC mismatch: file says %08x, payload hashes to %08x", wantCRC, got)}
 	}
-	n, err := decodePayload(bytes.NewReader(payload))
+	net, err := decodePayload(bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
 	if kindName == KindNet {
-		return n, nil
+		return net, nil
 	}
-	return BuildBackend(kindName, n)
+	return BuildBackend(kindName, net)
 }
 
 // decodePayload turns the gob payload into a validated Net: the architecture

@@ -2,6 +2,7 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"math"
@@ -34,6 +35,19 @@ func checkpointBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// oldFormatBytes re-frames a valid v3 checkpoint the two ways writers before
+// PR 8 did: the bare gob payload, and the payload behind a version-2 header
+// (no kind byte) whose CRC and length are intact — so only the magic and
+// version gates stand between these bytes and the gob decoder.
+func oldFormatBytes(t testing.TB) (headerless, v2 []byte) {
+	v3 := checkpointBytes(t)
+	headerless = v3[ckptHeadLen:]
+	v2 = append([]byte(nil), v3[:4]...)
+	v2 = binary.LittleEndian.AppendUint32(v2, 2)
+	v2 = append(v2, v3[9:]...) // crc | len | payload
+	return headerless, v2
+}
+
 // FuzzCheckpoint feeds arbitrary bytes to the checkpoint decoder. The only
 // acceptable outcomes are a valid *Net or an error — any panic (slice out of
 // range, huge allocation, gob explosion) fails the fuzz.
@@ -44,7 +58,13 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add(valid[:10])                 // truncated header
 	f.Add([]byte{})                   // empty
 	f.Add([]byte("m3cp"))             // magic only
-	f.Add([]byte("not a checkpoint")) // legacy-path garbage
+	f.Add([]byte("not a checkpoint")) // no magic
+	headerless, v2 := oldFormatBytes(f)
+	f.Add(headerless)
+	f.Add(v2)
+	badMagic := append([]byte(nil), valid...)
+	badMagic[0] ^= 0x01 // one flipped magic bit must not route around the CRC
+	f.Add(badMagic)
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40 // payload bit flip, CRC must catch
 	f.Add(flipped)
@@ -138,24 +158,22 @@ func TestCheckpointRejectsNonFiniteWeights(t *testing.T) {
 	}
 }
 
-func TestCheckpointLegacyFormat(t *testing.T) {
-	// A pre-header checkpoint is the bare gob payload; Load must sniff and
-	// decode it.
-	n := fuzzNet(t)
-	ck := checkpoint{Cfg: n.Cfg, Weights: make(map[string][]float64)}
-	for _, p := range n.params {
-		ck.Weights[p.Name] = p.W
+// TestCheckpointRejectsOldFormats: only v3 is decoded. A headerless gob
+// stream, a v2-headed one, and a v3 file with one flipped magic bit are all
+// otherwise-loadable payloads; each must be refused at the header.
+func TestCheckpointRejectsOldFormats(t *testing.T) {
+	headerless, v2 := oldFormatBytes(t)
+	badMagic := checkpointBytes(t)
+	badMagic[0] ^= 0x01
+	for name, raw := range map[string][]byte{"headerless": headerless, "bad magic": badMagic} {
+		_, err := LoadPredictor(bytes.NewReader(raw))
+		var ce *CorruptError
+		if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "magic") {
+			t.Errorf("%s: error %T (%v), want *CorruptError naming the magic", name, err, err)
+		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&ck); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	if got.Fingerprint() != n.Fingerprint() {
-		t.Error("legacy round-trip changed the fingerprint")
+	if _, err := LoadPredictor(bytes.NewReader(v2)); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("v2 header: error %v, want unsupported version 2", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"m3/internal/cluster"
 	"m3/internal/model"
@@ -184,10 +185,20 @@ func TestReloadQuantizedCheckpoint(t *testing.T) {
 }
 
 // TestMetricsBackendSplit: /metrics splits ML estimates by backend kind and
-// reports the loaded backend set.
+// reports the loaded backend set. It also pins the latency histogram's bucket
+// labels, which dashboards key on: one observation per bucket on a synthetic
+// route must come back under exactly these names.
 func TestMetricsBackendSplit(t *testing.T) {
 	s := testServer(t)
 	uploadSpecWorkload(t, s, "web", 200)
+
+	pin := &s.metrics.route("pin").latency
+	for _, ms := range latencyBucketsMS {
+		pin.observe(time.Duration(ms * float64(time.Millisecond)))
+	}
+	pin.observe(time.Hour)
+	wantLabels := []string{"le_1", "le_2", "le_5", "le_10", "le_25", "le_50", "le_100", "le_250",
+		"le_500", "le_1000", "le_2500", "le_5000", "le_10000", "le_+inf"}
 
 	for _, backend := range []string{model.KindNet, model.KindNetInt8} {
 		rec := do(t, s, "POST", "/v1/estimate", estimateRequest{
@@ -197,6 +208,11 @@ func TestMetricsBackendSplit(t *testing.T) {
 	}
 
 	var snap struct {
+		Requests map[string]struct {
+			Latency struct {
+				Buckets map[string]int64 `json:"buckets_ms"`
+			} `json:"latency"`
+		} `json:"requests"`
 		Backends map[string]struct {
 			Estimates int64   `json:"estimates"`
 			PredictMS float64 `json:"predict_ms"`
@@ -208,6 +224,15 @@ func TestMetricsBackendSplit(t *testing.T) {
 	}
 	rec := do(t, s, "GET", "/metrics", nil, &snap)
 	mustCode(t, rec, http.StatusOK)
+	got := snap.Requests["pin"].Latency.Buckets
+	if len(got) != len(wantLabels) {
+		t.Errorf("histogram labels = %v, want %v", got, wantLabels)
+	}
+	for _, l := range wantLabels {
+		if got[l] != 1 {
+			t.Errorf("histogram bucket %q = %d, want 1", l, got[l])
+		}
+	}
 	for _, kind := range []string{model.KindNet, model.KindNetInt8} {
 		bs, ok := snap.Backends[kind]
 		if !ok || bs.Estimates != 1 {

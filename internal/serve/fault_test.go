@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"hash/crc32"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,27 +73,35 @@ func TestReloadRejectsShapeMismatch(t *testing.T) {
 	s := testServer(t)
 	fpBefore := s.modelFP.Load()
 
-	// Hand-roll a legacy (headerless) payload whose weight map is empty:
-	// the CRC can't catch it, only the per-parameter shape gate can.
+	// Hand-roll a v3 checkpoint whose weight map is empty, with the header's
+	// CRC and length matching the payload: the CRC can't catch it, only the
+	// per-parameter shape gate can.
 	net := tinyNet(t, 3)
 	type ckpt struct {
 		Cfg     model.Config
 		Weights map[string][]float64
 	}
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(&ckpt{
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&ckpt{
 		Cfg: net.Cfg, Weights: map[string][]float64{},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	raw := append([]byte("m3cp"), 3, 0, 0, 0, 0) // magic | version 3 | kind net
+	raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(payload.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	raw = binary.LittleEndian.AppendUint64(raw, uint64(payload.Len()))
+	raw = append(raw, payload.Bytes()...)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.ckpt")
-	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rec := do(t, s, "POST", "/v1/reload", reloadRequest{Checkpoint: path}, nil)
 	if rec.Code != http.StatusBadRequest && rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("shape-mismatched checkpoint: status %d, want 4xx; body %s", rec.Code, rec.Body.String())
+	}
+	if !strings.Contains(rec.Body.String(), "missing parameter") {
+		t.Errorf("rejected before the shape gate: %s", rec.Body.String())
 	}
 	if s.modelFP.Load() != fpBefore {
 		t.Error("shape-mismatched reload swapped the model")

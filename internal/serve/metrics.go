@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,7 +39,7 @@ func (h *histogram) snapshot() map[string]any {
 		}
 		label := "+inf"
 		if i < len(latencyBucketsMS) {
-			label = formatMS(latencyBucketsMS[i])
+			label = strconv.FormatFloat(latencyBucketsMS[i], 'f', -1, 64)
 		}
 		buckets["le_"+label] = c
 	}
@@ -48,27 +49,6 @@ func (h *histogram) snapshot() map[string]any {
 		out["mean_ms"] = float64(h.sumNs.Load()) / float64(n) / float64(time.Millisecond)
 	}
 	return out
-}
-
-func formatMS(v float64) string {
-	if v == float64(int64(v)) {
-		return itoa(int64(v))
-	}
-	return itoa(int64(v)) + "." + itoa(int64(v*10)%10)
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // routeStats tracks one route's request counters and latencies.

@@ -262,11 +262,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// SwapModel atomically replaces the serving model.
-//
-// Deprecated: use SwapPredictor, which accepts any backend.
-func (s *Server) SwapModel(net *model.Net) { s.SwapPredictor(net) }
-
 // SwapPredictor atomically replaces the serving model with p, rebuilding
 // every registered backend kind from p's float weights (so a float swap also
 // refreshes the int8 backend, and vice versa). p's own kind becomes the
@@ -303,12 +298,6 @@ func (s *Server) SwapPredictor(p model.Predictor) {
 	s.cache.InvalidateModel(set.fingerprints()...)
 	s.modelFP.Store(p.Fingerprint())
 }
-
-// Model returns the float weights behind the serving model (nil for a
-// foreign backend with no float source).
-//
-// Deprecated: use Predictor.
-func (s *Server) Model() *model.Net { return model.SourceNet(s.Predictor()) }
 
 // Predictor returns the default serving backend.
 func (s *Server) Predictor() model.Predictor {

@@ -24,39 +24,18 @@ echo "== go test -race (shuffled) =="
 # on failure for reproduction.
 go test -race -shuffle=on ./...
 
-echo "== fault injection (-race) =="
-# The fault-tolerance suite: panic isolation in the pool, flowSim fallback
-# and panic containment in core, reload/shed/degraded behavior in serve —
-# all with fault hooks armed, under the race detector.
-go test -race -run 'Panic|Fault|Fallback|Degraded|Reload|Admission|Hook|Cancels' \
-    ./internal/pool/ ./internal/core/ ./internal/serve/ ./internal/faultinject/
-
 echo "== checkpoint fuzz smoke =="
 # Five seconds of coverage-guided corruption against the checkpoint decoder:
 # any input may be rejected, none may panic.
 go test -run '^$' -fuzz '^FuzzCheckpoint$' -fuzztime=5s ./internal/model/
 
-echo "== inference backend parity + selection =="
-# The multi-backend gates: int8-vs-float parity within the pinned epsilon,
-# bit-stable quantization (behind byte-stable serving responses), per-backend
-# cache keying, request-level backend selection, and the stable
-# unknown_backend rejection for kinds this build does not register.
-go test -run 'TestQuantizedParity|TestQuantizedDeterminism|TestBackendFingerprints|TestBuildBackendRegistry' \
-    ./internal/model/
-go test -run 'TestEstimateCacheBackendKeying' ./internal/core/
-go test -run 'TestEstimateBackendSelection|TestUnknownBackend|TestQuantilesBackendByteStable|TestMetricsBackendSplit' \
-    ./internal/serve/
-
-echo "== streamed pipeline parity + sharded GEMM bit-identity =="
+echo "== streamed pipeline parity =="
 # Pipelined-parity gate: the barrier-free featurize→predict pipeline must
-# reproduce the staged baseline's per-path outputs bit for bit across
-# backends, micro-batch sizes, and seeds (-count=2 reruns in one process to
-# catch state leaks); the worker-sharded GEMM must be bit-identical to the
-# serial kernels in both the float and int8 paths — all under the race
-# detector, since both features are scheduling-dependent by construction.
-go test -race -count=2 -run '^TestStreamedMatchesStagedBitIdentical$' ./internal/core/
-go test -race -run '^TestPredictParallelismBitIdentical$|^TestPredictParallelismConcurrent$' ./internal/model/
-go test -race -run '^TestFloatShardedBitIdentical$|^TestQuantShardedBitIdentical$' ./internal/ml/
+# reproduce the staged reference's per-path outputs bit for bit across
+# backends, micro-batch sizes, and seeds, under the race detector since the
+# schedule is completion-order-dependent by construction; -count=2 reruns in
+# one process to catch state leaks.
+go test -race -count=2 -run '^TestStreamedMatchesStagedBitIdentical$|^TestStreamedWallTimings$' ./internal/core/
 
 echo "== packetsim determinism =="
 # Golden-parity and pool-reuse tests pin the engine to the frozen
@@ -77,24 +56,14 @@ echo "== 100k-host scale smoke =="
 # heap / 1.5 GiB Sys); measured ~2s wall, budgeted 10m for slow machines.
 M3_SCALE_SMOKE=1 go test -run '^TestScaleSmoke100k$' -v -timeout 10m ./internal/core/
 
-echo "== chaos gate (-race) =="
-# The resilience gate: a 3-replica in-process fleet under a seeded 10% fault
-# schedule plus a flapped replica. Every request must answer 200 with the
-# single-process byte-identical result, breakers must open for the flapped
-# peer, and the background prober alone must re-admit it — no user request
-# pays for recovery. Deadline propagation and the adaptive Retry-After ride
-# along.
-go test -race -run '^TestChaosFleetResilience$|^TestDeadlinePropagation|^TestRetryAfterAdaptive$' \
-    ./internal/serve/
-go test -race -run '^TestChaos|^TestProber|^TestBreaker|^TestRetryBudget|^TestCall' \
-    ./internal/cluster/ ./internal/faultinject/
-
 echo "== cluster smoke (3-replica scatter parity) =="
 # Boots real m3serve processes: a standalone reference and a 3-replica
 # scatter fleet; the fleet's quantiles must be byte-identical to standalone.
 scripts/cluster_smoke.sh
 
-echo "== bench smoke (-short) =="
-scripts/bench.sh -short
+echo "== bench smoke =="
+# bench/ is a nested module, so ./... above does not reach it: vet it and run
+# the harness's own tests (metric arithmetic, report schema, a smoke run).
+(cd bench && go vet . && go test .)
 
 echo "ok"
