@@ -85,6 +85,8 @@ type Estimator struct {
 	decomp     *pathsim.Decomposition
 	fallback   bool
 	predictPar int
+	features   *FeatureCache
+	featureWL  WorkloadHash
 }
 
 // Option configures an Estimator at construction.
@@ -152,6 +154,17 @@ func WithDecomposition(d *pathsim.Decomposition) Option {
 	return func(e *Estimator) { e.decomp = d }
 }
 
+// WithFeatureCache shares each sampled path's configuration-free products
+// through c under (hash, path index): the scenario's flowSim run, the
+// model's feature maps and the bucketized flowSim output. hash must be
+// HashWorkload of the (topology, flows) passed to Estimate. The products
+// depend on neither the configuration, the method nor the model, so
+// estimates of one workload under any of them run flowSim once per path.
+// A nil c shares nothing.
+func WithFeatureCache(c *FeatureCache, hash WorkloadHash) Option {
+	return func(e *Estimator) { e.features, e.featureWL = c, hash }
+}
+
 // NewEstimator returns an estimator for the given inference backend with
 // the paper's defaults, adjusted by opts. Any model.Predictor works —
 // *model.Net (the float transformer) and *model.QuantizedNet (int8) are the
@@ -179,9 +192,9 @@ func NewEstimator(p model.Predictor, opts ...Option) *Estimator {
 
 // StageTimings breaks an estimation's cost down by pipeline stage.
 // Decompose, Sample, and Aggregate are wall-clock; PathSim and Predict are
-// summed across workers (time spent building each path's scenario and
-// running its backend, and in ML inference), feeding the serving layer's
-// /metrics endpoint. Because the
+// summed across workers (time spent building each path's scenario, running
+// its backend and featurizing it — a lookup on a feature-cache hit — and in
+// ML inference), feeding the serving layer's /metrics endpoint. Because the
 // streaming pipeline overlaps the two stages, the summed PathSim + Predict
 // can exceed the shard's wall clock — PathSimWall and PredictWall carry the
 // per-stage wall-clock extents (first task start to last task end), and
@@ -365,9 +378,11 @@ func (e *Estimator) RunShard(ctx context.Context, d *pathsim.Decomposition,
 		walls, err = e.estimateMLStreamed(ctx, pool, d, distinct, mult, cfg, sr.Outs, &pathSimNs, &predictNs, &degraded)
 	} else {
 		wallStart := time.Now()
+		first := e.features.sweepStart(len(distinct))
 		err = pool.Run(ctx, len(distinct), func(ctx context.Context, i int) error {
+			i = (first + i) % len(distinct)
 			faultinject.At("core.path", distinct[i])
-			out, err := e.estimatePath(ctx, d, &d.Paths[distinct[i]], mult[i], cfg, method, &pathSimNs)
+			out, err := e.estimatePath(ctx, d, distinct[i], mult[i], cfg, method, &pathSimNs)
 			if err != nil {
 				return fmt.Errorf("core: path %d: %w", distinct[i], err)
 			}
@@ -460,9 +475,9 @@ type stageWalls struct {
 	overlap time.Duration
 }
 
-// mlRun is the per-call state of the ML pipeline: the featurized samples,
-// the fallback retention slabs, and the batch/predict plumbing, which does
-// not depend on how batches form (the streamed pipeline fills them in
+// mlRun is the per-call state of the ML pipeline: each sampled path's
+// configuration-free entry, and the batch/predict plumbing, which does not
+// depend on how batches form (the streamed pipeline fills them in
 // completion order, the test-only staged reference by contiguous index
 // ranges).
 type mlRun struct {
@@ -471,16 +486,8 @@ type mlRun struct {
 	distinct []int
 	mult     []int
 	cfg      packetsim.Config
-	samples  []*model.Sample
+	entries  []*pathEntry
 	outs     []agg.PathOutput
-	// With fallback enabled, the featurize stage retains each path's raw
-	// flowSim slowdowns (slices RunFlowSimContext already allocated) so a
-	// failed or non-finite prediction can be bucketized per-path without
-	// re-simulating. The happy path pays only the two slice stores —
-	// bucketizing happens lazily, at failure time. When fallback is off the
-	// slices stay nil and featurize is unchanged.
-	fbSizes [][]unit.ByteSize
-	fbSldn  [][]float64
 
 	pathSimNs, predictNs, degraded *atomic.Int64
 }
@@ -489,43 +496,23 @@ func (e *Estimator) newMLRun(d *pathsim.Decomposition, distinct, mult []int,
 	cfg packetsim.Config, outs []agg.PathOutput,
 	pathSimNs, predictNs, degraded *atomic.Int64) *mlRun {
 
-	r := &mlRun{
+	return &mlRun{
 		e: e, d: d, distinct: distinct, mult: mult, cfg: cfg,
-		samples: make([]*model.Sample, len(distinct)), outs: outs,
+		entries: make([]*pathEntry, len(distinct)), outs: outs,
 		pathSimNs: pathSimNs, predictNs: predictNs, degraded: degraded,
 	}
-	if e.fallback {
-		r.fbSizes = make([][]unit.ByteSize, len(distinct))
-		r.fbSldn = make([][]float64, len(distinct))
-	}
-	return r
 }
 
-// featurize runs flowSim + feature building for sampled path i, storing the
-// model inputs and the path's output skeleton.
+// featurize fetches (or runs flowSim and featurizes) sampled path i,
+// storing its entry and its output skeleton.
 func (r *mlRun) featurize(ctx context.Context, i int) error {
 	faultinject.At("core.path", r.distinct[i])
-	p := &r.d.Paths[r.distinct[i]]
-	simStart := time.Now() // Scenario (building the parking lot) is part of the stage
-	sc, err := r.d.Scenario(p)
+	ent, err := r.e.entry(ctx, r.d, r.distinct[i], r.pathSimNs)
 	if err != nil {
 		return fmt.Errorf("core: path %d: %w", r.distinct[i], err)
 	}
-	fs, err := sc.RunFlowSimContext(ctx)
-	r.pathSimNs.Add(int64(time.Since(simStart)))
-	if err != nil {
-		return fmt.Errorf("core: path %d: %w", r.distinct[i], err)
-	}
-	rates := r.d.T.RouteRates(p.Links)
-	delays := r.d.T.RouteDelays(p.Links)
-	r.samples[i] = model.BuildInputs(fs.Fg.Sizes, fs.Fg.Slowdown, fs.BgSizes, fs.BgSldn, r.cfg, rates, delays)
-	r.outs[i] = agg.PathOutput{
-		Counts: feature.BucketCounts(fs.Fg.Sizes, feature.OutputBucketBounds),
-		Mult:   r.mult[i],
-	}
-	if r.fbSizes != nil {
-		r.fbSizes[i], r.fbSldn[i] = fs.Fg.Sizes, fs.Fg.Slowdown
-	}
+	r.entries[i] = ent
+	r.outs[i] = agg.PathOutput{Counts: ent.flowSim.Counts, Mult: r.mult[i]}
 	return nil
 }
 
@@ -539,20 +526,20 @@ func (r *mlRun) featurize(ctx context.Context, i int) error {
 func (r *mlRun) predict(ctx context.Context, idx []int) error {
 	batch := make([]*model.Sample, len(idx))
 	for k, i := range idx {
-		batch[k] = r.samples[i]
+		batch[k] = r.entries[i].feat.Sample(r.cfg)
 	}
 	predStart := time.Now()
 	preds, err := r.e.pred.PredictBatch(ctx, batch)
 	r.predictNs.Add(int64(time.Since(predStart)))
 	if err != nil {
-		if r.fbSizes == nil {
+		if !r.e.fallback {
 			return fmt.Errorf("core: predict batch [path %d..]: %w", r.distinct[idx[0]], err)
 		}
 		// The model refused the whole batch; serve its paths from the
 		// flowSim estimates instead of failing the run.
 		for _, i := range idx {
-			r.outs[i] = outputFromSamples(r.fbSizes[i], r.fbSldn[i], r.mult[i])
-			r.samples[i] = nil
+			r.outs[i] = r.entries[i].flowSimOutput(r.mult[i])
+			r.entries[i] = nil
 		}
 		r.degraded.Add(int64(len(idx)))
 		return nil
@@ -560,9 +547,9 @@ func (r *mlRun) predict(ctx context.Context, idx []int) error {
 	faultinject.At("core.predict", preds)
 	for k, pred := range preds {
 		i := idx[k]
-		if r.fbSizes != nil && !finiteSlice(pred) {
-			r.outs[i] = outputFromSamples(r.fbSizes[i], r.fbSldn[i], r.mult[i])
-			r.samples[i] = nil
+		if r.e.fallback && !finiteSlice(pred) {
+			r.outs[i] = r.entries[i].flowSimOutput(r.mult[i])
+			r.entries[i] = nil
 			r.degraded.Add(1)
 			continue
 		}
@@ -573,7 +560,7 @@ func (r *mlRun) predict(ctx context.Context, idx []int) error {
 				out.Buckets[b] = pred[b*feature.NumPercentiles : (b+1)*feature.NumPercentiles]
 			}
 		}
-		r.samples[i] = nil // release featurized inputs as batches drain
+		r.entries[i] = nil // release uncached entries as batches drain
 	}
 	return nil
 }
@@ -635,7 +622,9 @@ func (e *Estimator) estimateMLStreamed(ctx context.Context, pool *Pool,
 	}
 	var mu sync.Mutex
 	pending := make([]int, 0, bs)
+	first := e.features.sweepStart(len(distinct))
 	ferr := pool.Run(g.Context(), len(distinct), func(ctx context.Context, i int) error {
+		i = (first + i) % len(distinct)
 		var err error
 		pprof.Do(ctx, featurizeLabels, func(ctx context.Context) {
 			err = r.featurize(ctx, i)
@@ -698,19 +687,34 @@ func finiteSlice(v []float64) bool {
 	return true
 }
 
-// estimatePath produces one sampled path's bucketed percentile vectors for
+// entry returns path pi's configuration-free entry, from the feature
+// cache when the estimator has one. The time it takes — scenario, flowSim
+// and featurize on a miss, a lookup on a hit — is PathSim stage time.
+func (e *Estimator) entry(ctx context.Context, d *pathsim.Decomposition, pi int,
+	pathSimNs *atomic.Int64) (*pathEntry, error) {
+
+	start := time.Now()
+	defer func() { pathSimNs.Add(int64(time.Since(start))) }()
+	compute := func() (*pathEntry, error) { return newPathEntry(ctx, d, &d.Paths[pi]) }
+	if e.features == nil {
+		return compute()
+	}
+	return e.features.do(ctx, featureKey{workload: e.featureWL, path: pi}, compute)
+}
+
+// estimatePath produces sampled path pi's bucketed percentile vectors for
 // the model-free backends, accumulating backend time into the stage counter.
 func (e *Estimator) estimatePath(ctx context.Context, d *pathsim.Decomposition,
-	p *pathsim.Path, mult int, cfg packetsim.Config, method Method,
+	pi, mult int, cfg packetsim.Config, method Method,
 	pathSimNs *atomic.Int64) (agg.PathOutput, error) {
 
-	simStart := time.Now()
-	sc, err := d.Scenario(p)
-	if err != nil {
-		return agg.PathOutput{}, err
-	}
 	switch method {
 	case MethodNS3Path:
+		simStart := time.Now()
+		sc, err := d.Scenario(&d.Paths[pi])
+		if err != nil {
+			return agg.PathOutput{}, err
+		}
 		fg, err := sc.RunPacketContext(ctx, cfg)
 		pathSimNs.Add(int64(time.Since(simStart)))
 		if err != nil {
@@ -718,12 +722,11 @@ func (e *Estimator) estimatePath(ctx context.Context, d *pathsim.Decomposition,
 		}
 		return outputFromSamples(fg.Sizes, fg.Slowdown, mult), nil
 	case MethodFlowSim:
-		fs, err := sc.RunFlowSimContext(ctx)
-		pathSimNs.Add(int64(time.Since(simStart)))
+		ent, err := e.entry(ctx, d, pi, pathSimNs)
 		if err != nil {
 			return agg.PathOutput{}, err
 		}
-		return outputFromSamples(fs.Fg.Sizes, fs.Fg.Slowdown, mult), nil
+		return ent.flowSimOutput(mult), nil
 	}
 	return agg.PathOutput{}, fmt.Errorf("core: unknown method %v", method)
 }

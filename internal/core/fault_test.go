@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"m3/internal/faultinject"
@@ -74,10 +75,9 @@ func TestPathPanicIsolated(t *testing.T) {
 	ft, flows := testWorkload(t, 1200, 1)
 	net := tinyTrainedNet(t)
 
-	fired := false
+	var fired atomic.Bool // the hook runs on every pool worker at once
 	faultinject.Set("core.path", func(detail any) {
-		if !fired {
-			fired = true
+		if fired.CompareAndSwap(false, true) {
 			panic("injected path-sim panic")
 		}
 	})

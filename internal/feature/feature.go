@@ -107,8 +107,8 @@ func Build(sizes []unit.ByteSize, sldn []float64, bounds []unit.ByteSize) *Map {
 }
 
 // BucketCounts tallies flows per size bucket without building percentile
-// rows — the cheap path for callers that only need occupancy (the batched
-// estimator, which gets its percentiles from the model).
+// rows — the cheap path for callers that only need occupancy. It equals
+// Build's Counts.
 func BucketCounts(sizes []unit.ByteSize, bounds []unit.ByteSize) []int {
 	counts := make([]int, len(bounds)+1)
 	for _, s := range sizes {

@@ -41,21 +41,54 @@ func PathBDP(rates []unit.Rate, delays []unit.Time) unit.ByteSize {
 	return unit.ByteSize(bottleneck.BytesPerSecond() * PathBaseRTT(rates, delays).Seconds())
 }
 
+// PathFeatures is the configuration-free part of a path's model input:
+// everything flowSim and the path's links determine. m3 feeds the network
+// configuration to the model, not to flowSim, so one PathFeatures serves
+// every configuration a what-if asks about; Sample adds the configuration.
+type PathFeatures struct {
+	FgFeat  []float64   // log1p feature map of foreground flowSim slowdowns
+	BgFeats [][]float64 // per-hop log1p feature maps of background slowdowns
+	BDP     unit.ByteSize
+	BaseRTT unit.Time
+}
+
+// NewPathFeatures builds a path's features from flowSim results on it:
+// foreground sizes and slowdowns, per-hop background sizes and slowdowns,
+// and the path's link parameters.
+func NewPathFeatures(fgSizes []unit.ByteSize, fgSldn []float64,
+	bgSizes [][]unit.ByteSize, bgSldn [][]float64,
+	rates []unit.Rate, delays []unit.Time) *PathFeatures {
+
+	f := &PathFeatures{
+		FgFeat:  feature.BuildFeature(fgSizes, fgSldn).LogTransform(),
+		BDP:     PathBDP(rates, delays),
+		BaseRTT: PathBaseRTT(rates, delays),
+	}
+	for l := range bgSldn {
+		f.BgFeats = append(f.BgFeats, feature.BuildFeature(bgSizes[l], bgSldn[l]).LogTransform())
+	}
+	return f
+}
+
+// Sample pairs the features with cfg's spec vector. The sample shares f's
+// feature slices, which is safe because neither prediction nor f's other
+// users write them.
+func (f *PathFeatures) Sample(cfg packetsim.Config) *Sample {
+	return &Sample{
+		FgFeat:  f.FgFeat,
+		BgFeats: f.BgFeats,
+		Spec:    feature.SpecVector(cfg, f.BDP, f.BaseRTT),
+	}
+}
+
 // BuildInputs assembles the model-input part of a Sample from flowSim
-// results on a path: foreground sizes and slowdowns, per-hop background
-// sizes and slowdowns, the network config, and the path's link parameters.
+// results on a path, the network config, and the path's link parameters:
+// NewPathFeatures followed by Sample.
 func BuildInputs(fgSizes []unit.ByteSize, fgSldn []float64,
 	bgSizes [][]unit.ByteSize, bgSldn [][]float64,
 	cfg packetsim.Config, rates []unit.Rate, delays []unit.Time) *Sample {
 
-	s := &Sample{
-		FgFeat: feature.BuildFeature(fgSizes, fgSldn).LogTransform(),
-		Spec:   feature.SpecVector(cfg, PathBDP(rates, delays), PathBaseRTT(rates, delays)),
-	}
-	for l := range bgSldn {
-		s.BgFeats = append(s.BgFeats, feature.BuildFeature(bgSizes[l], bgSldn[l]).LogTransform())
-	}
-	return s
+	return NewPathFeatures(fgSizes, fgSldn, bgSizes, bgSldn, rates, delays).Sample(cfg)
 }
 
 // SetTarget attaches the ground-truth output map built from the foreground

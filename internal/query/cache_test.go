@@ -50,6 +50,32 @@ func TestSetConfigRoundTripKeepsCache(t *testing.T) {
 	}
 }
 
+// TestSetConfigSkipsFlowSim: a session's second configuration re-runs only
+// the model — every sampled path's flowSim products come from the
+// session's feature cache.
+func TestSetConfigSkipsFlowSim(t *testing.T) {
+	s, _ := testSession(t)
+	a, err := s.Estimate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := s.features.Stats()
+	if first.Misses != int64(a.DistinctPaths) {
+		t.Fatalf("first estimate ran flowSim %d times for %d paths", first.Misses, a.DistinctPaths)
+	}
+	alt := s.Config()
+	alt.InitWindow = 25 * unit.KB
+	if err := s.SetConfig(alt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Estimate(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.features.Stats(); st.Misses != first.Misses || st.Hits != first.Hits+int64(a.DistinctPaths) {
+		t.Errorf("second config: features %+v after %+v, want only hits", st, first)
+	}
+}
+
 // TestSessionsShareCache: two sessions over the same workload pointed at one
 // cache share estimates.
 func TestSessionsShareCache(t *testing.T) {

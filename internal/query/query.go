@@ -56,6 +56,10 @@ type Session struct {
 	// to an earlier configuration is a cache hit.
 	Cache *core.EstimateCache
 
+	// features keeps every sampled path's flowSim products across
+	// configurations, so a what-if only re-runs the model.
+	features *core.FeatureCache
+
 	mu      sync.Mutex
 	decomp  *pathsim.Decomposition
 	hash    core.WorkloadHash
@@ -79,7 +83,8 @@ func NewSession(t *topo.Topology, flows []workload.Flow, net model.Predictor,
 	}
 	return &Session{
 		T: t, Flows: flows, Net: net, cfg: cfg, NumPaths: 500, Seed: 1,
-		Cache: core.NewEstimateCache(16),
+		Cache:    core.NewEstimateCache(16),
+		features: core.NewFeatureCache(core.FeatureCacheBytes),
 	}, nil
 }
 
@@ -92,7 +97,8 @@ func (s *Session) Config() packetsim.Config {
 
 // SetConfig swaps the network configuration (a counterfactual). Estimates
 // for other configurations stay cached; re-estimating under a previously
-// queried configuration is served from the cache.
+// queried configuration is served from the cache, and estimating under a
+// new one re-runs only the model, not flowSim.
 func (s *Session) SetConfig(cfg packetsim.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -154,7 +160,8 @@ func (s *Session) Estimate(ctx context.Context) (*core.Estimate, error) {
 			core.WithSeed(s.Seed),
 			core.WithBatchSize(s.BatchSize),
 			core.WithPool(s.Pool),
-			core.WithDecomposition(d))
+			core.WithDecomposition(d),
+			core.WithFeatureCache(s.features, hash))
 		return est.Estimate(ctx, s.T, s.Flows, cfg)
 	})
 	return res, err

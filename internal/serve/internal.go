@@ -126,6 +126,7 @@ func (s *Server) handleInternalPaths(w http.ResponseWriter, r *http.Request) {
 		core.WithBatchSize(s.opts.BatchSize),
 		core.WithPool(s.pool),
 		core.WithDecomposition(d),
+		core.WithFeatureCache(s.features, wl.Hash),
 		core.WithFlowSimFallback(true))
 	sr, err := est.RunShard(ctx, d, req.Indices, req.Mults, req.Cfg)
 	if err != nil {

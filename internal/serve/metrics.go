@@ -202,7 +202,7 @@ func (m *Metrics) retryAfterSeconds() int {
 // snapshot renders all counters for the /metrics endpoint. defBackend and
 // kinds describe the serving backend set; clusterInfo is the fleet section
 // (nil when standalone).
-func (m *Metrics) snapshot(cacheStats core.CacheStats, modelParams int, modelFP uint64,
+func (m *Metrics) snapshot(cacheStats core.CacheStats, feat core.FeatureStats, modelParams int, modelFP uint64,
 	defBackend string, kinds []string, clusterInfo map[string]any) map[string]any {
 	m.mu.Lock()
 	routes := make(map[string]any, len(m.routes))
@@ -249,6 +249,15 @@ func (m *Metrics) snapshot(cacheStats core.CacheStats, modelParams int, modelFP 
 			"peer_hits":     cacheStats.PeerHits,
 			"peer_misses":   cacheStats.PeerMisses,
 			"owned_entries": cacheStats.OwnedEntries,
+		},
+		// misses counts per-path flowSim runs: one per distinct (workload,
+		// path) until eviction, whatever the configuration or model.
+		"features": map[string]any{
+			"hits":      feat.Hits,
+			"misses":    feat.Misses,
+			"entries":   feat.Entries,
+			"bytes":     feat.Bytes,
+			"evictions": feat.Evictions,
 		},
 		"estimates": m.estimates.Load(),
 		"stages_ms": map[string]any{

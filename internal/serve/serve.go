@@ -163,7 +163,11 @@ type Server struct {
 	modelFP atomic.Uint64
 	pool    *core.Pool
 	cache   *core.EstimateCache
-	metrics *Metrics
+	// features holds per-path flowSim products for every estimate and shard
+	// this server runs. It is keyed by workload and path only, so it
+	// survives model reloads.
+	features *core.FeatureCache
+	metrics  *Metrics
 
 	mu        sync.RWMutex
 	workloads map[string]*Workload
@@ -202,6 +206,7 @@ func New(opts Options) (*Server, error) {
 		opts:      opts,
 		pool:      core.NewPool(opts.Workers),
 		cache:     core.NewEstimateCache(opts.CacheSize),
+		features:  core.NewFeatureCache(core.FeatureCacheBytes),
 		metrics:   newMetrics(),
 		workloads: make(map[string]*Workload),
 		stop:      make(chan struct{}),
@@ -569,6 +574,7 @@ func (s *Server) runEstimate(ctx context.Context, wl *Workload, method core.Meth
 			core.WithBatchSize(s.opts.BatchSize),
 			core.WithPool(s.pool),
 			core.WithDecomposition(d),
+			core.WithFeatureCache(s.features, wl.Hash),
 			core.WithFlowSimFallback(true))
 		if s.fleet != nil && s.opts.Scatter {
 			return s.scatterEstimate(ctx, est, wl, method, fp, backend, cfg)
@@ -693,7 +699,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"peers":   s.fleet.Status(),
 		}
 	}
-	snap := s.metrics.snapshot(s.cache.Stats(), params, s.modelFP.Load(), bs.def, s.Backends(), clusterInfo)
+	snap := s.metrics.snapshot(s.cache.Stats(), s.features.Stats(), params, s.modelFP.Load(), bs.def, s.Backends(), clusterInfo)
 	batch := s.opts.BatchSize
 	if batch <= 0 {
 		batch = core.DefaultBatchSize
@@ -1030,55 +1036,45 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 			validate.Errf("serve", "sweeps", "%d sweeps exceed the limit of %d", len(req.Sweeps), maxSweeps))
 		return
 	}
-	// The baseline plus each sweep, estimated sequentially: path-level
-	// parallelism inside each estimate already saturates the shared pool.
 	type sweepResult struct {
 		Name     string            `json:"name"`
 		Knobs    map[string]string `json:"knobs"`
 		Estimate estimateResponse  `json:"estimate"`
 	}
-	run := func(name string, knobs map[string]string) (sweepResult, error) {
-		merged := make(map[string]string, len(req.Base)+len(knobs))
+	// Every point's configuration is built and validated before the first
+	// estimate, so a bad knob anywhere costs no pool time.
+	points := append([]whatIfSweep{{Name: "base"}}, req.Sweeps...)
+	results := make([]sweepResult, len(points))
+	cfgs := make([]packetsim.Config, len(points))
+	for i, pt := range points {
+		name := pt.Name
+		if name == "" {
+			name = fmt.Sprintf("sweep-%d", i-1)
+		}
+		merged := make(map[string]string, len(req.Base)+len(pt.Knobs))
 		for k, v := range req.Base {
 			merged[k] = v
 		}
-		for k, v := range knobs {
+		for k, v := range pt.Knobs {
 			merged[k] = v
 		}
 		cfg, err := buildConfig(merged)
 		if err != nil {
-			return sweepResult{}, err
+			writeError(w, http.StatusBadRequest, err)
+			return
 		}
-		res, cached, err := s.runEstimate(r.Context(), wl, method, req.NumPaths, req.Seed, cfg, pred)
+		results[i] = sweepResult{Name: name, Knobs: merged}
+		cfgs[i] = cfg
+	}
+	// The baseline plus each sweep, estimated sequentially: path-level
+	// parallelism inside each estimate already saturates the shared pool.
+	for i := range results {
+		res, cached, err := s.runEstimate(r.Context(), wl, method, req.NumPaths, req.Seed, cfgs[i], pred)
 		if err != nil {
-			return sweepResult{}, err
+			writeError(w, errorCode(r, err), err)
+			return
 		}
-		return sweepResult{Name: name, Knobs: merged, Estimate: estimateToResponse(wl, method, pred.Kind(), res, cached)}, nil
-	}
-	results := make([]sweepResult, 0, len(req.Sweeps)+1)
-	base, err := run("base", nil)
-	if err == nil {
-		results = append(results, base)
-		for i, sweep := range req.Sweeps {
-			name := sweep.Name
-			if name == "" {
-				name = fmt.Sprintf("sweep-%d", i)
-			}
-			var sr sweepResult
-			sr, err = run(name, sweep.Knobs)
-			if err != nil {
-				break
-			}
-			results = append(results, sr)
-		}
-	}
-	if err != nil {
-		code := errorCode(r, err)
-		if strings.Contains(err.Error(), "packetsim:") {
-			code = http.StatusBadRequest
-		}
-		writeError(w, code, err)
-		return
+		results[i].Estimate = estimateToResponse(wl, method, pred.Kind(), res, cached)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"workload": wl.Name,

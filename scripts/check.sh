@@ -29,13 +29,15 @@ echo "== checkpoint fuzz smoke =="
 # any input may be rejected, none may panic.
 go test -run '^$' -fuzz '^FuzzCheckpoint$' -fuzztime=5s ./internal/model/
 
-echo "== streamed pipeline parity =="
+echo "== streamed pipeline + feature cache parity =="
 # Pipelined-parity gate: the barrier-free featurize→predict pipeline must
 # reproduce the staged reference's per-path outputs bit for bit across
-# backends, micro-batch sizes, and seeds, under the race detector since the
+# backends, micro-batch sizes, and seeds, and a warm feature cache must
+# reproduce the cache-free estimate bit for bit while concurrent estimates
+# run flowSim exactly once per path; under the race detector since the
 # schedule is completion-order-dependent by construction; -count=2 reruns in
 # one process to catch state leaks.
-go test -race -count=2 -run '^TestStreamedMatchesStagedBitIdentical$|^TestStreamedWallTimings$' ./internal/core/
+go test -race -count=2 -run '^TestStreamedMatchesStagedBitIdentical$|^TestStreamedWallTimings$|^TestFeatureCacheBitIdentical$|^TestFeatureCacheSingleFlight$' ./internal/core/
 
 echo "== packetsim determinism =="
 # Golden-parity and pool-reuse tests pin the engine to the frozen
